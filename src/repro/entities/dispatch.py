@@ -7,8 +7,14 @@ however, that calls on different streams can be processed in parallel."
 
 Each stream receiver gets its own :class:`GroupDispatcher`: a FIFO of
 delivered requests drained by a driver process that runs one handler call
-at a time, each in a fresh process with a fresh agent.  Different
-dispatchers (different streams) run concurrently.
+at a time.  The driver runs each call's handler generator itself, with a
+fresh :class:`~repro.entities.context.ActivityContext` (fresh agent) per
+call: no simulated process is created per call.  While a handler runs, the
+driver carries the call's causal span, and it is registered with the
+guardian, so a node crash kills it — and the handler inside it — just as it
+would kill a process of the handler's own.  Different dispatchers
+(different streams) run concurrently.  Groups created with
+``parallel=True`` (the §2.1 override) still start one process per call.
 
 Everything observable — port lookup, argument decoding, execution, outcome
 posting — happens inside the sequential driver, so outcomes are produced
@@ -20,13 +26,13 @@ completed and is unaffected (§2).
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Deque, Optional, Tuple
+from typing import Any, Deque, Dict, Optional, Tuple
 
 from repro.core.exceptions import Failure, Signal, Unavailable
 from repro.core.outcome import Outcome
 from repro.encoding.errors import DecodeError
 from repro.encoding.transmit import ArgsCodec, OutcomeCodec
-from repro.sim.process import Interrupt, ProcessKilled
+from repro.sim.process import Interrupt, Process, ProcessKilled
 from repro.streams.receiver import CallDispatcher, StreamReceiver
 from repro.types.signatures import HandlerType
 
@@ -65,8 +71,11 @@ class GroupDispatcher(CallDispatcher):
         self._queue: Deque[Tuple[StreamReceiver, int, str, bytes, str, Any]] = deque()
         self._driver = None
         self._stopped = False
-        #: Handler processes currently executing (for orphan destruction).
-        self._running: list = []
+        #: Processes executing this stream's handlers, for orphan
+        #: destruction: the driver of a sequential group, or one process
+        #: per call of a parallel group.  A dict used as an
+        #: insertion-ordered set, so kills happen in a deterministic order.
+        self._running: Dict[Process, None] = {}
 
     # ------------------------------------------------------------------
     # CallDispatcher interface
@@ -85,8 +94,15 @@ class GroupDispatcher(CallDispatcher):
             return
         self._queue.append((receiver, seq, port_id, args_bytes, kind, span))
         if self._driver is None or self._driver.triggered:
-            runner = self._run_parallel() if self.group.parallel else self._run()
-            self._driver = self.env.process(runner)
+            if self.group.parallel:
+                self._driver = self.env.process(self._run_parallel())
+            else:
+                # The driver runs the handlers, so it is what a crash or
+                # an orphan destruction must kill.  The finished driver it
+                # replaces is dropped, keeping one entry per stream.
+                self._driver = driver = self.env.process(self._run())
+                self._running = {driver: None}
+                self.guardian._track(driver)
 
     def stop(self, reason: str) -> None:
         """The stream broke or was superseded: drop queued calls (they are
@@ -96,7 +112,7 @@ class GroupDispatcher(CallDispatcher):
         find these computations and destroy them later"."""
         self._stopped = True
         self._queue.clear()
-        running, self._running = self._running, []
+        running, self._running = self._running, {}
         for process in running:
             if process.is_alive:
                 process.kill("orphaned call destroyed: %s" % reason)
@@ -105,7 +121,9 @@ class GroupDispatcher(CallDispatcher):
     # Driver
     # ------------------------------------------------------------------
     def _run(self):
-        while self._queue and not self._stopped and self.guardian.alive:
+        driver = self.env.active_process
+        guardian = self.guardian
+        while self._queue and not self._stopped and guardian.alive:
             receiver, seq, port_id, args_bytes, kind, span = self._queue.popleft()
 
             port = self.group.lookup(port_id)
@@ -121,26 +139,31 @@ class GroupDispatcher(CallDispatcher):
                 receiver.decode_failure(seq, kind, exc)
                 continue
 
-            overhead = self.guardian.system.process_spawn_overhead
+            overhead = guardian.system.process_spawn_overhead
             if overhead > 0:
                 yield self.env.timeout(overhead)
-            process = self.guardian.spawn_handler(port, args, span=span)
-            self._emit_executing(receiver, seq, port_id, span, process)
-            self._running.append(process)
+            handler = port.impl(guardian.new_context(port.port_id), *args)
+            if not hasattr(handler, "throw"):
+                raise TypeError(
+                    "handler %s must be a generator function, got %r"
+                    % (port.port_id, handler)
+                )
+            # Nested calls and forks made by the handler parent under the
+            # call's span (None when tracing is off).
+            driver.span = span
+            self._emit_executing(receiver, seq, port_id, span, driver)
             try:
-                result = yield process
+                result = yield from handler
             except Signal as sig:
                 outcome = Outcome.exceptional(sig)
             except (Unavailable, Failure) as exc:
                 outcome = Outcome.exceptional(type(exc)(*exc.args))
             except (ProcessKilled, Interrupt):
-                return  # guardian crashed out from under us
+                return  # the handler was terminated; no reply is sent
             except Exception as exc:  # a bug in handler code
                 outcome = Outcome.failure("handler crashed: %r" % (exc,))
             else:
                 outcome = normalize_result(port.handler_type, result)
-            finally_running = [p for p in self._running if p.is_alive]
-            self._running = finally_running
             self._emit_completed(receiver, seq, span, outcome)
             receiver.post_outcome(
                 seq, outcome, kind, OutcomeCodec.for_type(port.handler_type)
@@ -200,14 +223,14 @@ class GroupDispatcher(CallDispatcher):
                 yield self.env.timeout(overhead)
             process = self.guardian.spawn_handler(port, args, span=span)
             self._emit_executing(receiver, seq, port_id, span, process)
-            self._running.append(process)
+            self._running[process] = None
             self._hook_completion(process, receiver, seq, kind, port, span)
 
     def _hook_completion(
         self, process, receiver, seq: int, kind: str, port, span
     ) -> None:
         def complete(event) -> None:
-            self._running = [p for p in self._running if p.is_alive]
+            self._running.pop(process, None)
             if event.ok:
                 outcome = normalize_result(port.handler_type, event.value)
             else:

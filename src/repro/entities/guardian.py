@@ -250,9 +250,13 @@ class Guardian:
     ) -> Port:
         """Define a handler: a port plus the procedure run per call.
 
-        *impl* is a generator function ``impl(ctx, *args)`` run in a fresh
-        process for each call; it may ``yield`` to block and ``return`` its
-        result, or raise :class:`~repro.core.exceptions.Signal`.
+        *impl* is a generator function ``impl(ctx, *args)`` run once per
+        call with a fresh context (fresh agent); it may ``yield`` to block
+        and ``return`` its result, or raise
+        :class:`~repro.core.exceptions.Signal`.  Calls on one stream of a
+        sequential group run on that stream's driver process, one after
+        another; calls of a ``parallel`` group each get a process of their
+        own (:meth:`spawn_handler`).
         """
         if group not in self.groups:
             self.create_group(group)
@@ -294,11 +298,13 @@ class Guardian:
         return process
 
     def spawn_handler(self, port: Port, args: tuple, span: Any = None) -> Process:
-        """Run one handler call in a fresh process (fresh agent).
+        """Run one handler call in a process of its own (fresh agent).
 
-        *span* is the call's causal trace context (tracing only): attached
-        to the process so that remote calls and forks the handler makes
-        nest under the call that started it.
+        Used for ``parallel`` groups, whose calls on one stream overlap;
+        sequential groups run their handlers on the stream's driver
+        instead.  *span* is the call's causal trace context (tracing only):
+        attached to the process so that remote calls and forks the handler
+        makes nest under the call that started it.
         """
         ctx = self.new_context(port.port_id)
         process = self.env.process(port.impl(ctx, *args))

@@ -70,8 +70,9 @@ class Process(Event):
     # declared here so Process stays fully slotted.
     # span belongs to the observability layer (repro.obs): the causal
     # (trace_id, span_id, parent_span_id) context the process runs under,
-    # or None.  Set only when tracing is enabled, by the dispatcher (handler
-    # executions), fork, and coenter; read by repro.obs.trace.mint_span.
+    # or None.  Set by the dispatcher (on a stream driver, the span of the
+    # call it is running; None when tracing is off), and by fork and coenter
+    # when tracing is enabled; read by repro.obs.trace.mint_span.
     __slots__ = (
         "_generator",
         "pid",
