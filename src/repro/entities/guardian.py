@@ -36,6 +36,9 @@ from repro.streams.wire import BreakNotice, CallPacket, ReplyPacket, StreamKey
 
 __all__ = ["Guardian", "TransportEndpoint"]
 
+#: Fewest tracked processes at which a guardian sweeps out finished ones.
+_MIN_SWEEP = 64
+
 
 class TransportEndpoint:
     """A guardian's attachment to the network: routes packets to stream
@@ -219,6 +222,8 @@ class Guardian:
         #: ("Argus procedures can share objects").
         self.state: Dict[str, Any] = {}
         self._processes: List[Process] = []
+        #: List length that triggers the next sweep of finished processes.
+        self._sweep_at = _MIN_SWEEP
         node.on_crash(self._on_node_crash)
 
     def __repr__(self) -> str:
@@ -314,9 +319,13 @@ class Guardian:
         return process
 
     def _track(self, process: Process) -> None:
+        # Finished processes are swept out only when the list has doubled
+        # since the last sweep, so tracking costs O(1) amortised even with
+        # many processes alive at once.
         self._processes.append(process)
-        if len(self._processes) > 64:
+        if len(self._processes) > self._sweep_at:
             self._processes = [p for p in self._processes if p.is_alive]
+            self._sweep_at = max(_MIN_SWEEP, 2 * len(self._processes))
 
     def bind(self, descriptor: PortDescriptor, agent: Optional[Agent] = None) -> HandlerRef:
         """Bind a descriptor outside any activity (mostly for tests)."""

@@ -17,7 +17,8 @@ guardian.  It provides the receiver half of the §2 guarantees:
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from collections import deque
+from typing import Deque, Dict, List, Optional, Tuple
 
 from repro.core.outcome import Outcome
 from repro.encoding.errors import DecodeError, EncodeError
@@ -129,7 +130,10 @@ class StreamReceiver:
         self.broken: Optional[BreakNotice] = None
         self._out_of_order: Dict[int, CallEntry] = {}
         self._reply_buffer: List[ReplyEntry] = []
-        self._reply_log: Dict[int, ReplyEntry] = {}
+        #: Replies the sender has not acknowledged yet, in seq order
+        #: (:meth:`post_outcome` releases outcomes strictly in call order),
+        #: so acknowledged entries are always at the front.
+        self._reply_log: Deque[ReplyEntry] = deque()
         self._pending_synch_seq: Optional[int] = None
         #: Seq range (lo, hi) of the calls that travelled with the most
         #: recent explicit flush: their replies are sent as soon as
@@ -156,8 +160,9 @@ class StreamReceiver:
     def on_call_packet(self, packet: CallPacket) -> None:
         """Process an incoming batch of call requests."""
         # The sender has resolved replies up to ack_reply_seq; forget them.
-        for seq in [s for s in self._reply_log if s <= packet.ack_reply_seq]:
-            del self._reply_log[seq]
+        reply_log = self._reply_log
+        while reply_log and reply_log[0].seq <= packet.ack_reply_seq:
+            reply_log.popleft()
 
         if self.broken is not None:
             # "further calls on that stream will be discarded at the
@@ -396,7 +401,7 @@ class StreamReceiver:
     # Reply shipping
     # ------------------------------------------------------------------
     def _append_reply(self, entry: ReplyEntry) -> None:
-        self._reply_log[entry.seq] = entry
+        self._reply_log.append(entry)
         self._reply_buffer.append(entry)
 
     def _ack_outstanding(self) -> bool:
@@ -454,7 +459,7 @@ class StreamReceiver:
         self._reply_alarm.cancel()
         self._ack_alarm.cancel()
         if include_log:
-            entries = sorted(self._reply_log.values(), key=lambda e: e.seq)
+            entries = list(self._reply_log)
             self._reply_buffer = []
         else:
             entries, self._reply_buffer = self._reply_buffer, []
