@@ -26,7 +26,7 @@ completed and is unaffected (§2).
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Deque, Dict, Optional, Tuple
+from typing import Any, Collection, Deque, Optional, Tuple
 
 from repro.core.exceptions import Failure, Signal, Unavailable
 from repro.core.outcome import Outcome
@@ -72,10 +72,11 @@ class GroupDispatcher(CallDispatcher):
         self._driver = None
         self._stopped = False
         #: Processes executing this stream's handlers, for orphan
-        #: destruction: the driver of a sequential group, or one process
-        #: per call of a parallel group.  A dict used as an
+        #: destruction: a 1-tuple holding the driver of a sequential group
+        #: (a tuple keeps idle dispatchers small), or, for a parallel
+        #: group, one process per call in a dict used as an
         #: insertion-ordered set, so kills happen in a deterministic order.
-        self._running: Dict[Process, None] = {}
+        self._running: Collection[Process] = {} if group.parallel else ()
 
     # ------------------------------------------------------------------
     # CallDispatcher interface
@@ -101,7 +102,7 @@ class GroupDispatcher(CallDispatcher):
                 # an orphan destruction must kill.  The finished driver it
                 # replaces is dropped, keeping one entry per stream.
                 self._driver = driver = self.env.process(self._run())
-                self._running = {driver: None}
+                self._running = (driver,)
                 self.guardian._track(driver)
 
     def stop(self, reason: str) -> None:
@@ -112,7 +113,8 @@ class GroupDispatcher(CallDispatcher):
         find these computations and destroy them later"."""
         self._stopped = True
         self._queue.clear()
-        running, self._running = self._running, {}
+        running = self._running
+        self._running = {} if self.group.parallel else ()
         for process in running:
             if process.is_alive:
                 process.kill("orphaned call destroyed: %s" % reason)

@@ -17,8 +17,7 @@ guardian.  It provides the receiver half of the §2 guarantees:
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Deque, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.core.outcome import Outcome
 from repro.encoding.errors import DecodeError, EncodeError
@@ -132,8 +131,10 @@ class StreamReceiver:
         self._reply_buffer: List[ReplyEntry] = []
         #: Replies the sender has not acknowledged yet, in seq order
         #: (:meth:`post_outcome` releases outcomes strictly in call order),
-        #: so acknowledged entries are always at the front.
-        self._reply_log: Deque[ReplyEntry] = deque()
+        #: so acknowledged entries are always a prefix.  A list, not a
+        #: deque: an empty deque costs ten times the memory, and a process
+        #: can hold many idle receivers.
+        self._reply_log: List[ReplyEntry] = []
         self._pending_synch_seq: Optional[int] = None
         #: Seq range (lo, hi) of the calls that travelled with the most
         #: recent explicit flush: their replies are sent as soon as
@@ -161,8 +162,12 @@ class StreamReceiver:
         """Process an incoming batch of call requests."""
         # The sender has resolved replies up to ack_reply_seq; forget them.
         reply_log = self._reply_log
-        while reply_log and reply_log[0].seq <= packet.ack_reply_seq:
-            reply_log.popleft()
+        if reply_log and reply_log[0].seq <= packet.ack_reply_seq:
+            ack = packet.ack_reply_seq
+            pruned = 1
+            while pruned < len(reply_log) and reply_log[pruned].seq <= ack:
+                pruned += 1
+            del reply_log[:pruned]
 
         if self.broken is not None:
             # "further calls on that stream will be discarded at the
