@@ -23,8 +23,9 @@ outcome report, and the surviving runtime objects:
   a crash discards volatile sender state by design (§4.2), there is no
   sender left to resolve anything;
 * **handler leaks** — a stopped dispatcher (stream break, supersede,
-  guardian destruction) must not still own live handler processes once the
-  run has settled: orphans are found and destroyed.
+  guardian destruction) must not still own a live process running its
+  handlers (a sequential stream's driver, or a parallel group's per-call
+  processes) once the run has settled: orphans are found and destroyed.
 
 Each oracle returns a list of human-readable problem strings, prefixed
 with its name; an empty list everywhere means the run passed.
@@ -145,7 +146,8 @@ def _oracle_drain(context: Dict[str, Any]) -> List[str]:
 
 
 def _oracle_handler_leaks(context: Dict[str, Any]) -> List[str]:
-    """No stopped dispatcher still owns a live handler process."""
+    """No stopped dispatcher still owns a live process running its
+    handlers."""
     system = context["system"]
     problems: List[str] = []
     for guardian in system.guardians.values():

@@ -113,9 +113,10 @@ class GroupDispatcher(CallDispatcher):
         find these computations and destroy them later"."""
         self._stopped = True
         self._queue.clear()
-        running = self._running
-        self._running = {} if self.group.parallel else ()
-        for process in running:
+        # _running keeps the killed processes (a parallel group's drop out
+        # as their kills complete), so the chaos handler-leak oracle can
+        # check that every one of them really died.
+        for process in tuple(self._running):
             if process.is_alive:
                 process.kill("orphaned call destroyed: %s" % reason)
 

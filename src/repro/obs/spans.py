@@ -21,7 +21,9 @@ A call's life is a chain of timestamps taken from consecutive events::
     t_buffered    stream.call_buffered    caller queued the call
     t_sent        stream.packet_sent      first packet covering its seq
     t_delivered   stream.call_delivered   receiver accepted it, in order
-    t_exec_start  stream.call_executing   handler process spawned
+    t_exec_start  stream.call_executing   handler started (on the stream's
+                                          driver; its own process in a
+                                          parallel group)
     t_exec_end    stream.call_completed   handler outcome produced
     t_reply_sent  stream.reply_packet_sent  first reply covering its seq
     t_resolved    stream.call_resolved    caller's promise resolved

@@ -67,8 +67,9 @@ class CallDispatcher:
         """Execute one in-order request; report via post_outcome.
 
         *span* is the call's causal trace context (None when tracing is
-        disabled); the entity layer attaches it to the handler process so
-        nested calls made by the handler parent under this call.
+        disabled); the entity layer attaches it to the process running
+        the handler so nested calls made by the handler parent under this
+        call.
         """
         raise NotImplementedError
 
