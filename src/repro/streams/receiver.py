@@ -162,13 +162,12 @@ class StreamReceiver:
     def on_call_packet(self, packet: CallPacket) -> None:
         """Process an incoming batch of call requests."""
         # The sender has resolved replies up to ack_reply_seq; forget them.
-        reply_log = self._reply_log
-        if reply_log and reply_log[0].seq <= packet.ack_reply_seq:
-            ack = packet.ack_reply_seq
-            pruned = 1
-            while pruned < len(reply_log) and reply_log[pruned].seq <= ack:
-                pruned += 1
-            del reply_log[:pruned]
+        pruned = 0
+        for entry in self._reply_log:
+            if entry.seq > packet.ack_reply_seq:
+                break
+            pruned += 1
+        del self._reply_log[:pruned]
 
         if self.broken is not None:
             # "further calls on that stream will be discarded at the

@@ -200,6 +200,18 @@ def test_outcomes_match_a_process_per_call(parallel):
     ]
 
 
+def test_plain_function_handler_is_rejected_loudly():
+    system = ArgusSystem(latency=1.0, kernel_overhead=0.1)
+    server = system.create_guardian("server")
+    server.create_handler("plain", WORK, lambda ctx, x: x)
+
+    def main(ctx):
+        return (yield ctx.lookup("server", "plain").call(1))
+
+    with pytest.raises(TypeError, match="must be a generator function"):
+        run_client(system, main)
+
+
 def test_nested_calls_parent_under_each_calls_span():
     system = ArgusSystem(latency=1.0, kernel_overhead=0.1, tracing=True)
     backend = system.create_guardian("backend")

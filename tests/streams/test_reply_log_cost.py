@@ -18,15 +18,23 @@ LOG_SIZE = 2000
 class CountingSeq(int):
     """An ack seq that counts how often it is compared with a reply seq.
 
-    ``seq <= ack`` calls the reflected ``ack.__ge__(seq)`` first, because
-    this type subclasses ``int``.
+    ``seq < ack`` and the like call the reflected method of ``ack`` first,
+    because this type subclasses ``int``.
     """
 
     comparisons = 0
 
-    def __ge__(self, other):
-        CountingSeq.comparisons += 1
-        return int.__ge__(self, other)
+    def _count(method):
+        def compare(self, other):
+            CountingSeq.comparisons += 1
+            return method(self, other)
+
+        return compare
+
+    __lt__ = _count(int.__lt__)
+    __le__ = _count(int.__le__)
+    __gt__ = _count(int.__gt__)
+    __ge__ = _count(int.__ge__)
 
 
 def test_reply_log_prune_is_linear_in_pruned_entries():
