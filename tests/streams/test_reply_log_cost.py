@@ -35,6 +35,7 @@ class CountingSeq(int):
     __le__ = _count(int.__le__)
     __gt__ = _count(int.__gt__)
     __ge__ = _count(int.__ge__)
+    del _count
 
 
 def test_reply_log_prune_is_linear_in_pruned_entries():
