@@ -17,7 +17,14 @@ __all__ = ["Outcome"]
 
 
 class Outcome:
-    """Immutable result of a terminated call."""
+    """Immutable result of a terminated call.
+
+    Exactly one of the two slots is not None: ``_results`` (a tuple) for
+    a normal termination, ``_exception`` for an exceptional one.  The
+    runtime's per-call paths (promises, the outcome codec, the stream
+    ends) read the slots directly instead of through the checking
+    properties below.
+    """
 
     __slots__ = ("_results", "_exception")
 
@@ -41,7 +48,12 @@ class Outcome:
     @classmethod
     def normal(cls, *results: Any) -> "Outcome":
         """A normal termination carrying zero or more results."""
-        return cls(results=tuple(results))
+        # *results is already a fresh tuple and nothing here can be
+        # invalid, so skip __init__'s checks and copy.
+        outcome = object.__new__(cls)
+        outcome._results = results
+        outcome._exception = None
+        return outcome
 
     @classmethod
     def exceptional(cls, exception: ArgusError) -> "Outcome":

@@ -301,15 +301,15 @@ class Promise:
     def _coerce(self, outcome: Outcome) -> Outcome:
         if self.ptype is None:
             return outcome
-        if outcome.is_normal:
+        exc = outcome._exception
+        if exc is None:
             try:
-                check_results(self.ptype.returns, outcome.results)
+                check_results(self.ptype.returns, outcome._results)
             except TypeViolation as violation:
                 return Outcome.failure(
                     "could not decode: %s" % (violation,)
                 )
             return outcome
-        exc = outcome.exception
         if isinstance(exc, Signal):
             declared = self.ptype.signals.get(exc.condition)
             if declared is None:
@@ -331,8 +331,9 @@ class Promise:
 
     @staticmethod
     def _deliver(event: Event, outcome: Outcome) -> None:
-        if outcome.is_normal:
-            results = outcome.results
+        exc = outcome._exception
+        if exc is None:
+            results = outcome._results
             if len(results) == 0:
                 event.succeed(None)
             elif len(results) == 1:
@@ -341,7 +342,7 @@ class Promise:
                 event.succeed(results)
         else:
             event.defused = True
-            event.fail(outcome.exception)
+            event.fail(exc)
 
     # ------------------------------------------------------------------
     # Combinators (widely useful in examples and composition code)

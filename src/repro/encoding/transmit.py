@@ -162,9 +162,11 @@ class OutcomeCodec:
             self._buf = None
             del buf[:]
         try:
-            if outcome.is_normal:
+            # The slots, not the checking properties (see Outcome).
+            exc = outcome._exception
+            if exc is None:
                 buf.append(_TAG_NORMAL)
-                results = outcome.results
+                results = outcome._results
                 encoders = self._ret_encoders
                 if len(results) != len(encoders):
                     raise EncodeError(
@@ -174,7 +176,6 @@ class OutcomeCodec:
                 for encoder, value in zip(encoders, results):
                     encoder(value, buf)
                 return bytes(buf)
-            exc = outcome.exception
             if isinstance(exc, Unavailable):
                 buf.append(_TAG_UNAVAILABLE)
                 _encode_str(exc.reason, buf)

@@ -57,16 +57,23 @@ class TransportEndpoint:
     # ------------------------------------------------------------------
     # Sending side
     # ------------------------------------------------------------------
-    def sender_for(self, agent: Agent, descriptor: PortDescriptor) -> StreamSender:
-        """The stream sender for (this agent → that port group)."""
-        key = StreamKey(
-            src_node=self.node.name,
-            src_address=self.address,
-            agent_id=agent.agent_id,
-            dst_node=descriptor.node,
-            dst_address=descriptor.group_address,
-            group_id=descriptor.group_id,
+    def stream_key(self, agent: Agent, descriptor: PortDescriptor) -> StreamKey:
+        """The key of the stream from *agent* to *descriptor*'s port group."""
+        return StreamKey(
+            self.node.name,
+            self.address,
+            agent.agent_id,
+            descriptor.node,
+            descriptor.group_address,
+            descriptor.group_id,
         )
+
+    def open_sender(self, key: StreamKey) -> StreamSender:
+        """The sender of stream *key*, created on first use.
+
+        A crash or destroy empties the sender table, so the next call on a
+        key after one gets a fresh sender here.
+        """
         sender = self._senders.get(key)
         if sender is None:
             sender = StreamSender(

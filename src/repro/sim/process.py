@@ -179,15 +179,17 @@ class Process(Event):
         try:
             while True:
                 try:
+                    # Slot reads, not the checking properties: a fired
+                    # event always has its outcome.
                     if event is None:
                         target = self._generator.send(None)
-                    elif event.ok:
-                        target = self._generator.send(event.value)
+                    elif event._ok:
+                        target = self._generator.send(event._value)
                     else:
                         # The exception is being delivered into the process;
                         # it is now that process's responsibility.
                         event.defused = True
-                        target = self._generator.throw(event.value)
+                        target = self._generator.throw(event._value)
                 except StopIteration as stop:
                     self._target = None
                     if tracer is not None:
@@ -221,7 +223,7 @@ class Process(Event):
                     event._value = exc
                     continue
 
-                if target.processed:
+                if target.callbacks is None:
                     # Already fired: loop around and deliver immediately.
                     event = target
                     continue

@@ -321,7 +321,7 @@ class StreamReceiver:
         self.completed_seq = max(self.completed_seq, seq)
 
         entry: Optional[ReplyEntry] = None
-        if kind in (KIND_SEND, KIND_BATCH) and outcome.is_normal:
+        if kind in (KIND_SEND, KIND_BATCH) and outcome._exception is None:
             # "in the case of sends, normal replies can be omitted."
             # Epoch batch frames share the omission: the watermark acks
             # a whole epoch in one field.

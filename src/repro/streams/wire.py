@@ -14,7 +14,7 @@ charged a fixed byte cost each so message sizes remain honest.
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import List, NamedTuple, Optional, Tuple
 
 __all__ = [
     "KIND_RPC",
@@ -56,47 +56,22 @@ SACK_RANGE_BYTES = 8
 WINDOW_FIELD_BYTES = 4
 
 
-class StreamKey:
+class StreamKey(NamedTuple):
     """Identity of a stream: one agent talking to one port group.
 
     "An agent and a port group together define a stream" (§2).  The key also
     carries the transport coordinates of both ends so replies can be routed
-    back without any connection state in the network.
+    back without any connection state in the network.  Keys index the
+    endpoints' sender and receiver tables, so they are immutable tuples:
+    equality and hashing run in C, and no field can change under a table.
     """
 
-    __slots__ = ("src_node", "src_address", "agent_id", "dst_node", "dst_address", "group_id")
-
-    def __init__(
-        self,
-        src_node: str,
-        src_address: str,
-        agent_id: str,
-        dst_node: str,
-        dst_address: str,
-        group_id: str,
-    ) -> None:
-        self.src_node = src_node
-        self.src_address = src_address
-        self.agent_id = agent_id
-        self.dst_node = dst_node
-        self.dst_address = dst_address
-        self.group_id = group_id
-
-    def _tuple(self) -> Tuple[str, str, str, str, str, str]:
-        return (
-            self.src_node,
-            self.src_address,
-            self.agent_id,
-            self.dst_node,
-            self.dst_address,
-            self.group_id,
-        )
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, StreamKey) and self._tuple() == other._tuple()
-
-    def __hash__(self) -> int:
-        return hash(self._tuple())
+    src_node: str
+    src_address: str
+    agent_id: str
+    dst_node: str
+    dst_address: str
+    group_id: str
 
     def __repr__(self) -> str:
         return "<StreamKey %s/%s -> %s/%s/%s>" % (
