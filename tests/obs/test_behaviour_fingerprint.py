@@ -1,10 +1,11 @@
-"""Behaviour fingerprints: committed hashes of two full event traces.
+"""Behaviour fingerprints: committed hashes of three full event traces.
 
 The golden-trace test compares two runs of the *same* code, so it cannot
 catch a change that is deterministic but different.  These tests pin the
-Fig 3-1 grades trace and one chaos-corpus ``kv`` trace against sha256
-digests recorded on a known-good tree: any change to event order, simulated
-time, wire traffic or span identity moves a digest.
+Fig 3-1 grades trace and two chaos-corpus traces (``kv`` and the promise
+graph's ``kv_graph``) against sha256 digests recorded on a known-good
+tree: any change to event order, simulated time, wire traffic or span
+identity moves a digest.
 
 Process bookkeeping is deliberately left out of the fingerprint:
 ``process.*`` events and ``pid`` fields describe how the runtime maps work
@@ -30,6 +31,7 @@ CORPUS = os.path.join(
     os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "chaos", "seeds"
 )
 KV_SEED = os.path.join(CORPUS, "kv-seed3-default.json")
+KV_GRAPH_SEED = os.path.join(CORPUS, "kv_graph-seed3-default.json")
 
 #: sha256 of the filtered Fig 3-1 trace (N_STUDENTS students).
 GRADES_FINGERPRINT = (
@@ -38,6 +40,10 @@ GRADES_FINGERPRINT = (
 #: sha256 of the filtered trace of the kv-seed3-default corpus replay.
 KV_FINGERPRINT = (
     "a0efe4b09e2601ed9261f0ae05ff3f86cbc9e1ab1427b34a72a769cfe84d293e"
+)
+#: sha256 of the filtered trace of the kv_graph-seed3-default corpus replay.
+KV_GRAPH_FINGERPRINT = (
+    "b9f8f93cd7cbeb6cb93d68d80e44b1b5ee6d1715f414a09435c69ec66e8f5ce1"
 )
 
 
@@ -82,6 +88,11 @@ def test_grades_trace_fingerprint():
 def test_kv_corpus_trace_fingerprint(tmp_path):
     trace_path = str(tmp_path / "kv.jsonl")
     assert corpus_fingerprint(KV_SEED, trace_path) == KV_FINGERPRINT
+
+
+def test_kv_graph_corpus_trace_fingerprint(tmp_path):
+    trace_path = str(tmp_path / "kv_graph.jsonl")
+    assert corpus_fingerprint(KV_GRAPH_SEED, trace_path) == KV_GRAPH_FINGERPRINT
 
 
 def test_fingerprint_ignores_only_process_bookkeeping():
