@@ -95,7 +95,9 @@ class Process(Event):
         #: across environments within one interpreter — the counter is
         #: per-environment).
         self.pid = env.new_pid()
-        #: The event this process is currently waiting on, or None.
+        #: The event this process is currently waiting on, or None.  Until
+        #: the process starts that is its start event, so a kill before the
+        #: start detaches the pending resume like any other wait.
         self._target: Optional[Event] = None
         #: Set when the process killed itself (or was killed while
         #: executing); honoured at its next suspension point.
@@ -109,7 +111,7 @@ class Process(Event):
                 pid=self.pid,
                 name=getattr(generator, "__name__", str(generator)),
             )
-        _Initialize(env, self)
+        self._target = _Initialize(env, self)
 
     def __repr__(self) -> str:
         name = getattr(self._generator, "__name__", self._generator)

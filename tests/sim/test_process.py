@@ -200,3 +200,18 @@ def test_interrupt_while_waiting_detaches_from_target(env):
     # The original target never fired and has no leftover callbacks for the
     # process.
     assert not target.triggered
+
+
+def test_kill_before_start_never_runs_the_generator(env):
+    started = []
+
+    def never(env):
+        started.append(True)
+        yield env.timeout(1.0)
+
+    process = env.process(never(env))
+    process.kill("before start")
+    env.run()
+    assert started == []
+    assert isinstance(process.value, ProcessKilled)
+    assert process.value.cause == "before start"
