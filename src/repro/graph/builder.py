@@ -15,10 +15,15 @@ handles.  ``compile()`` freezes the DAG into the flat
 collector is duplicated under each parent (the runtime joins the copies
 by node id), and leaves are auto-emitted so every graph produces at
 least one observable result.
+
+Handles hold their builder only weakly, so a builder and its handles
+form no reference cycle: a submitted graph is freed as soon as the
+caller drops it, without waiting for the cyclic garbage collector.
 """
 
 from __future__ import annotations
 
+import weakref
 from typing import Any, List, Optional, Sequence, Tuple
 
 from repro.graph.codec import (
@@ -37,7 +42,10 @@ class GraphError(Exception):
 
 
 class NodeHandle:
-    """A node under construction; the fluent surface of the builder."""
+    """A node under construction; the fluent surface of the builder.
+
+    Creating a handle appends it to *builder* as the next node.
+    """
 
     __slots__ = (
         "_builder",
@@ -57,15 +65,20 @@ class NodeHandle:
         self,
         builder: "GraphBuilder",
         spec: RoutineSpec,
-        node_id: int,
         sched_key: int,
         captures: Tuple[Any, ...],
         n_inputs: int,
         collector: bool,
     ) -> None:
-        self._builder = builder
+        if len(captures) != len(spec.capture_types):
+            raise GraphError(
+                "%s takes %d captures, got %d"
+                % (spec.name, len(spec.capture_types), len(captures))
+            )
+        handles = builder._handles
+        self._builder = builder._ref
         self.spec = spec
-        self.node_id = node_id
+        self.node_id = len(handles)
         self.sched_key = sched_key
         self.captures = captures
         self.n_inputs = n_inputs
@@ -74,6 +87,7 @@ class NodeHandle:
         self.emit_tag: Optional[str] = None
         self._children: List[Tuple[int, "NodeHandle"]] = []
         self._n_parents = 0
+        handles.append(self)
 
     def then(
         self,
@@ -86,15 +100,20 @@ class NodeHandle:
         With no explicit ``sched_key`` the child inherits the parent's —
         it runs on the same shard unless its ``node_func`` migrates it.
         Calling ``then`` several times on one handle fans the outputs out
-        to several independent children.
+        to several independent children.  The handle's builder must still
+        be alive.
         """
+        builder = self._builder()
+        if builder is None:
+            raise GraphError("%r outlived its builder" % (self,))
         spec = routine(name)
         if self.spec.output_types != spec.input_types:
             raise GraphError(
                 "%s outputs %r do not feed %s inputs %r"
                 % (self.spec.name, self.spec.output_types, name, spec.input_types)
             )
-        child = self._builder._make(
+        child = NodeHandle(
+            builder,
             spec,
             self.sched_key if sched_key is None else sched_key,
             tuple(captures),
@@ -121,25 +140,7 @@ class GraphBuilder:
 
     def __init__(self) -> None:
         self._handles: List[NodeHandle] = []
-
-    def _make(
-        self,
-        spec: RoutineSpec,
-        sched_key: int,
-        captures: Tuple[Any, ...],
-        n_inputs: int,
-        collector: bool,
-    ) -> NodeHandle:
-        if len(captures) != len(spec.capture_types):
-            raise GraphError(
-                "%s takes %d captures, got %d"
-                % (spec.name, len(spec.capture_types), len(captures))
-            )
-        handle = NodeHandle(
-            self, spec, len(self._handles), sched_key, captures, n_inputs, collector
-        )
-        self._handles.append(handle)
-        return handle
+        self._ref = weakref.ref(self)
 
     def source(
         self, name: str, captures: Sequence[Any] = (), sched_key: int = 0
@@ -151,7 +152,9 @@ class GraphBuilder:
                 "source routine %s declares inputs %r; feed it with then()/collect()"
                 % (name, spec.input_types)
             )
-        return self._make(spec, sched_key, tuple(captures), n_inputs=0, collector=False)
+        return NodeHandle(
+            self, spec, sched_key, tuple(captures), n_inputs=0, collector=False
+        )
 
     def collect(
         self,
@@ -174,15 +177,15 @@ class GraphBuilder:
         if len(inputs) > 255:
             raise GraphError("collector %s joins too many inputs" % (name,))
         for handle in inputs:
-            if handle._builder is not self:
+            if handle._builder is not self._ref:
                 raise GraphError("collector input %r belongs to another builder" % (handle,))
             if handle.spec.output_types != spec.input_types:
                 raise GraphError(
                     "%s outputs %r do not feed collector %s inputs %r"
                     % (handle.spec.name, handle.spec.output_types, name, spec.input_types)
                 )
-        child = self._make(
-            spec, sched_key, tuple(captures), n_inputs=len(inputs), collector=True
+        child = NodeHandle(
+            self, spec, sched_key, tuple(captures), n_inputs=len(inputs), collector=True
         )
         for slot, parent in enumerate(inputs):
             parent._children.append((slot, child))
@@ -200,11 +203,11 @@ class GraphBuilder:
         with no explicit ``emit()`` are auto-emitted under a default tag
         so no computation disappears silently.
         """
-        if not self._handles:
+        handles = self._handles
+        if not handles:
             raise GraphError("empty graph")
         emits: List[Tuple[int, str, RoutineSpec]] = []
-        frozen = {}
-        for handle in self._handles:
+        for handle in handles:
             if not handle._children and not handle._emit:
                 handle._emit = True
             if handle._emit:
@@ -217,25 +220,24 @@ class GraphBuilder:
                     "node %r fans out to too many children" % (handle,)
                 )
 
-        def freeze(handle: NodeHandle) -> TreeNode:
-            node = frozen.get(handle.node_id)
-            if node is None:
-                flags = (FLAG_COLLECTOR if handle._collector else 0) | (
-                    FLAG_EMIT if handle._emit else 0
-                )
-                node = TreeNode(
-                    handle.spec,
-                    handle.node_id,
-                    handle.sched_key,
-                    flags,
-                    handle.n_inputs,
-                    handle.captures,
-                    tuple(
-                        (slot, freeze(child)) for slot, child in handle._children
-                    ),
-                )
-                frozen[handle.node_id] = node
-            return node
-
-        roots = [freeze(h) for h in self._handles if h._n_parents == 0]
+        # Every child is created after its parents, so one pass from the
+        # newest handle back finds each node's children already frozen.
+        frozen: List[Any] = [None] * len(handles)
+        for handle in reversed(handles):
+            flags = (FLAG_COLLECTOR if handle._collector else 0) | (
+                FLAG_EMIT if handle._emit else 0
+            )
+            children = handle._children
+            frozen[handle.node_id] = TreeNode(
+                handle.spec,
+                handle.node_id,
+                handle.sched_key,
+                flags,
+                handle.n_inputs,
+                handle.captures,
+                [(slot, frozen[child.node_id]) for slot, child in children]
+                if children
+                else (),
+            )
+        roots = [frozen[h.node_id] for h in handles if h._n_parents == 0]
         return roots, emits

@@ -33,7 +33,7 @@ from repro.encoding.xrep import (
     compile_decoder,
     compile_encoder,
 )
-from repro.types.signatures import Type
+from repro.types.signatures import PromiseType, Type
 
 __all__ = [
     "FLAG_COLLECTOR",
@@ -56,6 +56,8 @@ __all__ = [
 _INT = struct.Struct(">q")
 _LEN = struct.Struct(">I")
 _SLOT = struct.Struct(">H")
+#: Tree node header after the name: node_id, sched_key, flags, n_inputs.
+_NODE_HEAD = struct.Struct(">qqBB")
 
 #: Node flag: the node joins several inputs and fires once all arrive.
 FLAG_COLLECTOR = 0x01
@@ -95,6 +97,7 @@ class RoutineSpec:
     tuple.  ``node_func(captures, inputs)``, when given, recomputes the
     scheduling key from the *actual* inputs; a delivery whose recomputed
     key hashes to a different shard migrates there instead of executing.
+    ``promise_type`` is the type of the promise an emitted node resolves.
     """
 
     __slots__ = (
@@ -105,6 +108,8 @@ class RoutineSpec:
         "output_types",
         "node_func",
         "cost",
+        "promise_type",
+        "_wire_name",
         "_capture_encoders",
         "_capture_decoders",
         "_input_encoders",
@@ -130,6 +135,11 @@ class RoutineSpec:
         self.output_types = tuple(output_types)
         self.node_func = node_func
         self.cost = cost
+        self.promise_type = PromiseType(returns=self.output_types)
+        #: The name as every encoded node carries it: length, then UTF-8.
+        wire_name = bytearray()
+        _encode_str(wire_name, name)
+        self._wire_name = bytes(wire_name)
         self._capture_encoders = tuple(compile_encoder(t) for t in self.capture_types)
         self._capture_decoders = tuple(compile_decoder(t) for t in self.capture_types)
         self._input_encoders = tuple(compile_encoder(t) for t in self.input_types)
@@ -185,9 +195,28 @@ class TreeNode:
     collector appears as a child under each of its parents — the encoded
     tree duplicates it, and the runtime joins the copies by ``node_id``
     in guardian state.
+
+    A node decoded as a *child* remembers where its subtree sits in the
+    received buffer (``_wire[_wire_start:_wire_end]``), so re-shipping the
+    leftover subtree after its parent ran appends those bytes instead of
+    walking and re-encoding it.  A unit's root never does: it runs where
+    it lands, and is re-encoded only on the rarer migration.
     """
 
-    __slots__ = ("spec", "node_id", "sched_key", "flags", "n_inputs", "captures", "children")
+    __slots__ = (
+        "spec",
+        "node_id",
+        "sched_key",
+        "flags",
+        "is_collector",
+        "wants_emit",
+        "n_inputs",
+        "captures",
+        "children",
+        "_wire",
+        "_wire_start",
+        "_wire_end",
+    )
 
     def __init__(
         self,
@@ -203,17 +232,12 @@ class TreeNode:
         self.node_id = node_id
         self.sched_key = sched_key
         self.flags = flags
+        self.is_collector = bool(flags & FLAG_COLLECTOR)
+        self.wants_emit = bool(flags & FLAG_EMIT)
         self.n_inputs = n_inputs
         self.captures = tuple(captures)
         self.children = tuple(children)
-
-    @property
-    def is_collector(self) -> bool:
-        return bool(self.flags & FLAG_COLLECTOR)
-
-    @property
-    def wants_emit(self) -> bool:
-        return bool(self.flags & FLAG_EMIT)
+        self._wire = None
 
     def without_children(self) -> "TreeNode":
         """A copy of this node alone (the per-edge RPC baseline ships these)."""
@@ -256,17 +280,19 @@ class TreeNode:
 
 def encode_tree(node: TreeNode, out: bytearray) -> None:
     """Append the flat encoding of *node* and its subtree to *out*."""
-    if len(node.captures) != len(node.spec.capture_types):
+    wire = node._wire
+    if wire is not None:
+        out += wire[node._wire_start:node._wire_end]
+        return
+    spec = node.spec
+    if len(node.captures) != len(spec.capture_types):
         raise EncodeError(
             "%s carries %d captures, spec wants %d"
-            % (node.spec.name, len(node.captures), len(node.spec.capture_types))
+            % (spec.name, len(node.captures), len(spec.capture_types))
         )
-    _encode_str(out, node.spec.name)
-    out += _INT.pack(node.node_id)
-    out += _INT.pack(node.sched_key)
-    out.append(node.flags)
-    out.append(node.n_inputs)
-    for encoder, value in zip(node.spec._capture_encoders, node.captures):
+    out += spec._wire_name
+    out += _NODE_HEAD.pack(node.node_id, node.sched_key, node.flags, node.n_inputs)
+    for encoder, value in zip(spec._capture_encoders, node.captures):
         encoder(value, out)
     out.append(len(node.children))
     for slot, child in node.children:
@@ -278,17 +304,27 @@ def decode_tree(data: Any, offset: int, depth: int = 0) -> Tuple[TreeNode, int]:
     """Decode one tree node (and subtree) at *offset*; total on bad input."""
     if depth > _MAX_DEPTH:
         raise DecodeError("routine tree deeper than %d" % _MAX_DEPTH)
-    name, offset = _decode_str_flat(data, offset)
+    if data.__class__ is not bytes:
+        # Decoded children keep their bytes by reference, so they must
+        # not see later writes to a caller's mutable buffer.
+        data = bytes(data)
+    size = len(data)
+    if offset + 4 > size:
+        raise DecodeError("truncated routine name length")
+    end = offset + 4 + _LEN.unpack_from(data, offset)[0]
+    if end > size:
+        raise DecodeError("truncated routine name")
+    try:
+        name = data[offset + 4:end].decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise DecodeError("invalid UTF-8 in routine name: %s" % exc) from exc
     spec = _REGISTRY.get(name)
     if spec is None:
         raise DecodeError("unknown routine %r" % (name,))
-    if offset + 18 > len(data):
+    offset = end + _NODE_HEAD.size
+    if offset > size:
         raise DecodeError("truncated tree node header")
-    (node_id,) = _INT.unpack_from(data, offset)
-    (sched_key,) = _INT.unpack_from(data, offset + 8)
-    flags = data[offset + 16]
-    n_inputs = data[offset + 17]
-    offset += 18
+    node_id, sched_key, flags, n_inputs = _NODE_HEAD.unpack_from(data, end)
     if flags & ~_NODE_FLAGS:
         raise DecodeError("unknown tree node flags 0x%02x" % (flags,))
     if flags & FLAG_COLLECTOR:
@@ -300,18 +336,22 @@ def decode_tree(data: Any, offset: int, depth: int = 0) -> Tuple[TreeNode, int]:
     for decoder in spec._capture_decoders:
         offset = decoder(data, offset, values)
     captures = tuple(values)
-    if offset + 1 > len(data):
+    if offset + 1 > size:
         raise DecodeError("truncated child count")
     n_children = data[offset]
     offset += 1
-    if n_children * (2 + _MIN_NODE_BYTES) > len(data) - offset:
+    if n_children * (2 + _MIN_NODE_BYTES) > size - offset:
         raise DecodeError("child count %d exceeds remaining payload" % (n_children,))
     children = []
     for _ in range(n_children):
-        if offset + 2 > len(data):
+        if offset + 2 > size:
             raise DecodeError("truncated child slot")
         (slot,) = _SLOT.unpack_from(data, offset)
-        child, offset = decode_tree(data, offset + 2, depth + 1)
+        start = offset + 2
+        child, offset = decode_tree(data, start, depth + 1)
+        child._wire = data
+        child._wire_start = start
+        child._wire_end = offset
         if slot >= max(1, child.n_inputs):
             raise DecodeError(
                 "edge into slot %d of a %d-input node" % (slot, child.n_inputs)
@@ -402,6 +442,8 @@ def decode_batch_frame(
     data: Any,
 ) -> Tuple[int, str, int, int, List[Tuple[int, TreeNode, Tuple[Any, ...]]]]:
     """Decode a batch frame into (graph_id, origin, epoch, flags, units)."""
+    if data.__class__ is not bytes:
+        data = bytes(data)  # once per frame, not once per unit
     offset = _decode_header(data, _MAGIC_BATCH)
     if offset + 1 > len(data):
         raise DecodeError("truncated batch flags")
@@ -447,6 +489,8 @@ def encode_unit_frame(
 
 def decode_unit_frame(data: Any) -> Tuple[int, str, int, TreeNode, Tuple[Any, ...]]:
     """Decode a unit frame into (graph_id, origin, slot, node, values)."""
+    if data.__class__ is not bytes:
+        data = bytes(data)
     offset = _decode_header(data, _MAGIC_UNIT)
     if offset + 8 > len(data):
         raise DecodeError("truncated graph id")
@@ -468,9 +512,9 @@ def encode_result_frame(
     out += _INT.pack(graph_id)
     out += _LEN.pack(len(results))
     for node_id, name, outputs in results:
-        out += _INT.pack(node_id)
-        _encode_str(out, name)
         spec = _REGISTRY[name]
+        out += _INT.pack(node_id)
+        out += spec._wire_name
         if len(outputs) != len(spec.output_types):
             raise EncodeError(
                 "%s emitted %d outputs, spec wants %d"

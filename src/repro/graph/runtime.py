@@ -41,7 +41,7 @@ from repro.graph.codec import (
     encode_unit_frame,
 )
 from repro.graph.router import ShardRouter
-from repro.types.signatures import STRING, HandlerType, PromiseType
+from repro.types.signatures import STRING, HandlerType
 
 __all__ = [
     "EXEC_HANDLER",
@@ -116,60 +116,78 @@ class _ShardEngine:
         self.out_units: Dict[int, List[Tuple[int, TreeNode, Tuple[Any, ...]]]] = {}
         self.out_results: List[Tuple[int, str, Tuple[Any, ...]]] = []
 
-    def deliver(self, slot: int, node: TreeNode, values: Tuple[Any, ...]):
-        """Route one delivery: execute here, join, or re-ship elsewhere."""
-        spec = node.spec
-        if not self.rpc:
-            if node.is_collector or spec.node_func is None:
-                key = node.sched_key
-            else:
-                key = spec.node_func(node.captures, values)
-            dest = self.runtime.router.shard_index(key)
-            if dest != self.my_index:
-                self.out_units.setdefault(dest, []).append((slot, node, values))
-                return
-        if node.is_collector:
-            state = self.ctx.guardian.state
-            entry_key = ("graph.collect", self.graph_id, node.node_id)
-            entry = state.get(entry_key)
-            if entry is None:
-                entry = state[entry_key] = {"inputs": {}, "fired": False}
-            entry["inputs"][slot] = values
-            if entry["fired"] or len(entry["inputs"]) < node.n_inputs:
-                return
-            # Mark fired *before* yielding into execution so a sibling
-            # delivery racing through this guardian cannot fire it twice.
-            entry["fired"] = True
-            inputs = [entry["inputs"][i] for i in range(node.n_inputs)]
-            yield from self.execute(node, inputs)
-        else:
-            yield from self.execute(node, values)
+    def run(self, units: List[Tuple[int, TreeNode, Tuple[Any, ...]]]):
+        """Run *units* and every delivery they cascade into, depth first.
 
-    def execute(self, node: TreeNode, fn_inputs: Any):
-        """Run one routine here, then cascade its children."""
-        spec = node.spec
-        yield self.ctx.compute(spec.cost)
-        migrated = (
-            not node.is_collector
-            and self.runtime.router.shard_index(node.sched_key) != self.my_index
-        )
-        tracer = self.ctx.env.tracer
-        if tracer is not None:
-            tracer.emit(
-                "graph.routine",
-                shard=self.my_name,
-                graph=self.graph_id,
-                node=node.node_id,
-                callback=spec.name,
-                cost=spec.cost,
-                migrated=migrated,
-            )
-        outputs = spec.fn(self.ctx.guardian.state, node.captures, fn_inputs)
-        outputs = () if outputs is None else tuple(outputs)
-        if node.wants_emit or self.rpc:
-            self.out_results.append((node.node_id, spec.name, outputs))
-        for slot, child in node.children:
-            yield from self.deliver(slot, child, outputs)
+        Each delivery is routed once, by the shard that produces it: it
+        executes here, joins a collector here, or is buffered for the
+        shard that owns it.  *units* arrived because their sender routed
+        them here, so they are not routed again.  An executed node's
+        children are delivered before the next sibling's, so the order of
+        executions (and so of simulated time) is that of a recursive
+        walk, without a generator frame per node.
+        """
+        ctx = self.ctx
+        state = ctx.guardian.state
+        env = ctx.env
+        router = self.runtime.router
+        my_index = self.my_index
+        out_units = self.out_units
+        out_results = self.out_results
+        route = not self.rpc
+        stack = units[::-1]
+        pop = stack.pop
+        push = stack.append
+        # The arrived units sit at the bottom of the stack, everything
+        # pushed later above them: an entry popped from below this mark
+        # is an arrived unit.
+        arrived = len(stack)
+        while stack:
+            slot, node, values = unit = pop()
+            spec = node.spec
+            is_collector = node.is_collector
+            if len(stack) < arrived:
+                arrived -= 1
+            elif route:
+                if is_collector or spec.node_func is None:
+                    key = node.sched_key
+                else:
+                    key = spec.node_func(node.captures, values)
+                dest = router.shard_index(key)
+                if dest != my_index:
+                    out_units.setdefault(dest, []).append(unit)
+                    continue
+            if is_collector:
+                entry_key = ("graph.collect", self.graph_id, node.node_id)
+                entry = state.get(entry_key)
+                if entry is None:
+                    entry = state[entry_key] = {"inputs": {}, "fired": False}
+                entry["inputs"][slot] = values
+                if entry["fired"] or len(entry["inputs"]) < node.n_inputs:
+                    continue
+                # Mark fired *before* yielding into execution so a sibling
+                # delivery racing through this guardian cannot fire it twice.
+                entry["fired"] = True
+                values = [entry["inputs"][i] for i in range(node.n_inputs)]
+            yield ctx.compute(spec.cost)
+            tracer = env.tracer
+            if tracer is not None:
+                tracer.emit(
+                    "graph.routine",
+                    shard=self.my_name,
+                    graph=self.graph_id,
+                    node=node.node_id,
+                    callback=spec.name,
+                    cost=spec.cost,
+                    migrated=not is_collector
+                    and router.shard_index(node.sched_key) != my_index,
+                )
+            outputs = spec.fn(state, node.captures, values)
+            outputs = () if outputs is None else tuple(outputs)
+            if node.wants_emit or not route:
+                out_results.append((node.node_id, spec.name, outputs))
+            for slot, child in reversed(node.children):
+                push((slot, child, outputs))
 
     def flush(self) -> None:
         """Ship buffered units/results, one frame per destination."""
@@ -245,8 +263,7 @@ class GraphRuntime:
         engine = _ShardEngine(
             self, ctx, graph_id, origin, epoch, batching=bool(flags & FRAME_BATCHING)
         )
-        for slot, node, values in units:
-            yield from engine.deliver(slot, node, values)
+        yield from engine.run(units)
         engine.flush()
 
     def _exec_one_impl(self, ctx: Any, frame_text: str):
@@ -256,7 +273,7 @@ class GraphRuntime:
         engine = _ShardEngine(
             self, ctx, graph_id, origin, epoch=0, batching=False, rpc=True
         )
-        yield from engine.deliver(slot, node, values)
+        yield from engine.run([(slot, node, values)])
         return _to_wire(encode_result_frame(graph_id, engine.out_results))
 
     def _result_impl(self, ctx: Any, frame_text: str):
@@ -316,11 +333,7 @@ class GraphRuntime:
         for node_id, tag, spec in emits:
             if tag in promises:
                 raise GraphError("duplicate emit tag %r" % (tag,))
-            promise = Promise(
-                ctx.env,
-                ptype=PromiseType(returns=spec.output_types),
-                label="graph:%s" % tag,
-            )
+            promise = Promise(ctx.env, ptype=spec.promise_type, label="graph:%s" % tag)
             self._pending[(graph_id, node_id)] = promise
             promises[tag] = promise
         per_shard: Dict[int, List[Tuple[int, TreeNode, Tuple[Any, ...]]]] = {}

@@ -1,8 +1,18 @@
 """GraphBuilder: typed edges, collectors, and the freeze to routine trees."""
 
+import gc
+import weakref
+
 import pytest
 
-from repro.graph import FLAG_COLLECTOR, FLAG_EMIT, GraphBuilder, GraphError
+from repro.graph import (
+    FLAG_COLLECTOR,
+    FLAG_EMIT,
+    GraphBuilder,
+    GraphError,
+    NodeHandle,
+    TreeNode,
+)
 
 from . import helpers  # noqa: F401  (registers the t.* routines)
 
@@ -87,3 +97,29 @@ def test_shared_collector_is_duplicated_under_each_parent():
     assert copies[0].flags & FLAG_COLLECTOR
     slots = sorted(slot for root in roots for slot, _child in root.children)
     assert slots == [0, 1]  # each parent feeds its own input slot
+
+
+def test_a_handle_outliving_its_builder_cannot_grow_the_graph():
+    handle = GraphBuilder().source("t.add", captures=("k", 1))
+    with pytest.raises(GraphError):
+        handle.then("t.scale", captures=(2,))
+
+
+def test_a_builder_and_its_trees_are_freed_without_the_cyclic_collector():
+    gc.collect()
+    gc.disable()
+    try:
+        g = GraphBuilder()
+        a = g.source("t.add", captures=("a", 1), sched_key=1)
+        b = g.source("t.add", captures=("b", 2), sched_key=2)
+        g.collect("t.sum", inputs=[a.then("t.scale", captures=(3,)), b]).emit("s")
+        roots, emits = g.compile()
+        assert len(roots) == 2 and len(emits) == 1
+        builder = weakref.ref(g)
+        del g, a, b, roots, emits
+        assert builder() is None
+        assert not [
+            obj for obj in gc.get_objects() if isinstance(obj, (NodeHandle, TreeNode))
+        ]
+    finally:
+        gc.enable()

@@ -2,6 +2,7 @@
 
 import pytest
 
+import repro.graph.runtime as runtime_module
 from repro.graph import GraphBuilder, GraphError
 
 from ..conftest import run_client
@@ -156,3 +157,47 @@ def test_duplicate_emit_tags_are_rejected():
         return "rejected"
 
     assert run_client(system, main) == "rejected"
+
+
+def test_reshipped_frames_match_a_fresh_encoding(monkeypatch):
+    # A shard re-ships a leftover subtree by appending the bytes it
+    # received; the frame must be the one a fresh encoding of the same
+    # builder-made trees gives.
+    system, runtime = build_graph_system()
+    g = GraphBuilder()
+    pending = []
+    for index in range(12):
+        src = g.source("t.add", captures=("r%d" % index, index), sched_key=index)
+        pending.append(src.then("t.scale", captures=(2,), sched_key=index * 7 + 3))
+        if len(pending) == 3:
+            g.collect("t.sum", inputs=pending, sched_key=index).emit("j%d" % index)
+            pending = []
+    fresh = {}
+    todo = list(g.compile()[0])
+    while todo:
+        node = todo.pop()
+        fresh[node.node_id] = node
+        todo.extend(child for _slot, child in node.children)
+    frames = []
+
+    def recording(graph_id, origin, epoch, flags, units):
+        frame = real(graph_id, origin, epoch, flags, units)
+        frames.append((graph_id, origin, epoch, flags, list(units), frame))
+        return frame
+
+    real = runtime_module.encode_batch_frame
+    monkeypatch.setattr(runtime_module, "encode_batch_frame", recording)
+
+    def main(ctx):
+        promises = runtime.submit(ctx, g)
+        for promise in promises.values():
+            yield promise.claim()
+
+    run_client(system, main)
+    reshipped = [
+        entry for entry in frames if any(node._wire is not None for _s, node, _v in entry[4])
+    ]
+    assert reshipped, "no shard re-shipped a received subtree"
+    for graph_id, origin, epoch, flags, units, frame in frames:
+        rebuilt = [(slot, fresh[node.node_id], values) for slot, node, values in units]
+        assert frame == real(graph_id, origin, epoch, flags, rebuilt)

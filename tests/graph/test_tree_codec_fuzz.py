@@ -262,3 +262,18 @@ def test_bad_flags_and_arity_are_decode_errors():
     data[flags_at + 1] = 2  # a plain node with two input slots likewise
     with pytest.raises(DecodeError):
         decode_tree(bytes(data), 0)
+
+
+def test_decoded_children_do_not_alias_a_mutable_buffer():
+    tree = TreeNode(
+        routine("fz.src1"), 1, 0, 0, 0, ("cap",),
+        ((0, TreeNode(routine("fz.chain"), 2, 0, 0, 1, ())),),
+    )
+    out = bytearray()
+    encode_tree(tree, out)
+    pristine = bytes(out)
+    decoded, _ = decode_tree(out, 0)
+    out[:] = b"\xff" * len(out)
+    again = bytearray()
+    encode_tree(decoded, again)
+    assert bytes(again) == pristine
