@@ -50,6 +50,9 @@ import sys
 HERE = os.path.dirname(os.path.abspath(__file__))
 REPO_ROOT = os.path.dirname(os.path.dirname(HERE))
 DEFAULT_OUTPUT = os.path.join(REPO_ROOT, "BENCH_PR10.json")
+#: Where ``--quick`` writes by default: the working directory, never
+#: over the committed full-mode report.
+QUICK_OUTPUT = "bench_graph_quick.json"
 
 if os.path.join(REPO_ROOT, "src") not in sys.path:
     sys.path.insert(0, os.path.join(REPO_ROOT, "src"))
@@ -295,7 +298,11 @@ def _check_reference(report, path):
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--quick", action="store_true", help="small n for CI smoke")
-    parser.add_argument("--output", default=DEFAULT_OUTPUT)
+    parser.add_argument(
+        "--output",
+        help="report path (default: BENCH_PR10.json at the repository root, or "
+        "bench_graph_quick.json in the working directory with --quick)",
+    )
     parser.add_argument(
         "--check",
         action="store_true",
@@ -307,6 +314,8 @@ def main(argv=None) -> int:
         help="also gate ratios against a committed same-mode report",
     )
     args = parser.parse_args(argv)
+    if args.output is None:
+        args.output = QUICK_OUTPUT if args.quick else DEFAULT_OUTPUT
 
     report = {"pr": 10, "mode": "quick" if args.quick else "full", "benchmarks": {}}
     failures = []

@@ -2,7 +2,8 @@
 
 Measures the workloads in :mod:`benchmarks.perf.workloads` and writes a
 machine-readable trajectory file (default: ``BENCH_PR7.json`` at the
-repository root) containing the committed "before" baseline, the fresh
+repository root; ``bench_quick.json`` in the working directory with
+``--quick``) containing the committed "before" baseline, the fresh
 "after" numbers, and the speedup per workload.
 
 Usage::
@@ -35,6 +36,9 @@ HERE = os.path.dirname(os.path.abspath(__file__))
 REPO_ROOT = os.path.dirname(os.path.dirname(HERE))
 BASELINE_PATH = os.path.join(HERE, "baseline_pr7.json")
 DEFAULT_OUTPUT = os.path.join(REPO_ROOT, "BENCH_PR7.json")
+#: Where ``--quick`` writes by default: the working directory, never
+#: over the committed full-mode report.
+QUICK_OUTPUT = "bench_quick.json"
 
 if os.path.join(REPO_ROOT, "src") not in sys.path:
     sys.path.insert(0, os.path.join(REPO_ROOT, "src"))
@@ -78,7 +82,11 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--quick", action="store_true", help="small n for CI smoke")
     parser.add_argument("--repeats", type=int, default=3)
-    parser.add_argument("--output", default=DEFAULT_OUTPUT)
+    parser.add_argument(
+        "--output",
+        help="report path (default: BENCH_PR7.json at the repository root, or "
+        "bench_quick.json in the working directory with --quick)",
+    )
     parser.add_argument(
         "--record-baseline",
         action="store_true",
@@ -97,6 +105,8 @@ def main(argv=None) -> int:
         "committed rates (default 1.2 = >20%% regression)",
     )
     args = parser.parse_args(argv)
+    if args.output is None:
+        args.output = QUICK_OUTPUT if args.quick else DEFAULT_OUTPUT
 
     results = run_all(args.quick, args.repeats)
 

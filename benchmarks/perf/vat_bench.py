@@ -16,7 +16,8 @@ the consumption mechanism itself (``consumer_memory_reduction``), which
 is the number the tentpole claim is about — the promises exist in every
 variant, only the way they are consumed differs.
 
-Results go to ``BENCH_PR6.json`` at the repository root.  ``--check``
+Results go to ``BENCH_PR6.json`` at the repository root (``--quick``
+runs to ``bench_vat_quick.json`` in the working directory).  ``--check``
 gates the structural claim for CI perf-smoke: at ``n`` pending promises
 the blocking side must cost at least ``--min-process-reduction`` (default
 10x) more processes and ``--min-memory-reduction`` (default 10x) more
@@ -40,6 +41,9 @@ import tracemalloc
 HERE = os.path.dirname(os.path.abspath(__file__))
 REPO_ROOT = os.path.dirname(os.path.dirname(HERE))
 DEFAULT_OUTPUT = os.path.join(REPO_ROOT, "BENCH_PR6.json")
+#: Where ``--quick`` writes by default: the working directory, never
+#: over the committed full-mode report.
+QUICK_OUTPUT = "bench_vat_quick.json"
 
 if os.path.join(REPO_ROOT, "src") not in sys.path:
     sys.path.insert(0, os.path.join(REPO_ROOT, "src"))
@@ -145,7 +149,11 @@ def main(argv=None) -> int:
     parser.add_argument("--quick", action="store_true", help="small n for CI smoke")
     parser.add_argument("--n", type=int, default=None, help="override pending count")
     parser.add_argument("--repeats", type=int, default=3)
-    parser.add_argument("--output", default=DEFAULT_OUTPUT)
+    parser.add_argument(
+        "--output",
+        help="report path (default: BENCH_PR6.json at the repository root, or "
+        "bench_vat_quick.json in the working directory with --quick)",
+    )
     parser.add_argument(
         "--check",
         action="store_true",
@@ -154,6 +162,8 @@ def main(argv=None) -> int:
     parser.add_argument("--min-process-reduction", type=float, default=10.0)
     parser.add_argument("--min-memory-reduction", type=float, default=10.0)
     args = parser.parse_args(argv)
+    if args.output is None:
+        args.output = QUICK_OUTPUT if args.quick else DEFAULT_OUTPUT
 
     n = args.n if args.n is not None else (N_QUICK if args.quick else N_FULL)
     results = {}
