@@ -104,7 +104,7 @@ class Promise:
         self.label = label
         self.promise_id = env.new_serial("promise")
         #: Simulated time the promise came into existence (call time).
-        self.created_at = env.now
+        self.created_at = env._now
         self._outcome: Optional[Outcome] = None
         self._waiters: List[Event] = []
         #: Registered continuations: None while none exist, a single

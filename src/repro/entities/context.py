@@ -42,7 +42,7 @@ class ActivityContext:
 
     @property
     def now(self) -> float:
-        return self.env.now
+        return self.env._now
 
     # ------------------------------------------------------------------
     # Remote calls

@@ -153,7 +153,9 @@ class GroupDispatcher(CallDispatcher):
             # Nested calls and forks made by the handler parent under the
             # call's span (None when tracing is off).
             driver.span = span
-            self._emit_executing(receiver, seq, port_id, span, driver)
+            tracer = self.env.tracer
+            if tracer is not None:
+                self._emit_executing(tracer, receiver, seq, port_id, span, driver)
             try:
                 result = yield from handler
             except Signal as sig:
@@ -166,35 +168,37 @@ class GroupDispatcher(CallDispatcher):
                 outcome = Outcome.failure("handler crashed: %r" % (exc,))
             else:
                 outcome = normalize_result(port.handler_type, result)
-            self._emit_completed(receiver, seq, span, outcome)
+            tracer = self.env.tracer
+            if tracer is not None:
+                self._emit_completed(tracer, receiver, seq, span, outcome)
             receiver.post_outcome(seq, outcome, kind, port.outcome_codec)
 
-    def _emit_executing(self, receiver, seq, port_id, span, process) -> None:
-        tracer = self.env.tracer
-        if tracer is not None:
-            tracer.emit(
-                "stream.call_executing",
-                stream=receiver.trace_label,
-                incarnation=receiver.incarnation,
-                seq=seq,
-                port=port_id,
-                pid=process.pid,
-                trace_id=span[0] if span is not None else None,
-                span_id=span[1] if span is not None else None,
-            )
+    # The emitters are called only with a tracer installed: the call sites
+    # check, so an untraced call pays no call to find out.
+    @staticmethod
+    def _emit_executing(tracer, receiver, seq, port_id, span, process) -> None:
+        tracer.emit(
+            "stream.call_executing",
+            stream=receiver.trace_label,
+            incarnation=receiver.incarnation,
+            seq=seq,
+            port=port_id,
+            pid=process.pid,
+            trace_id=span[0] if span is not None else None,
+            span_id=span[1] if span is not None else None,
+        )
 
-    def _emit_completed(self, receiver, seq, span, outcome) -> None:
-        tracer = self.env.tracer
-        if tracer is not None:
-            tracer.emit(
-                "stream.call_completed",
-                stream=receiver.trace_label,
-                incarnation=receiver.incarnation,
-                seq=seq,
-                status=outcome.condition,
-                trace_id=span[0] if span is not None else None,
-                span_id=span[1] if span is not None else None,
-            )
+    @staticmethod
+    def _emit_completed(tracer, receiver, seq, span, outcome) -> None:
+        tracer.emit(
+            "stream.call_completed",
+            stream=receiver.trace_label,
+            incarnation=receiver.incarnation,
+            seq=seq,
+            status=outcome.condition,
+            trace_id=span[0] if span is not None else None,
+            span_id=span[1] if span is not None else None,
+        )
 
     # ------------------------------------------------------------------
     # Parallel driver (the §2.1 override)
@@ -222,7 +226,9 @@ class GroupDispatcher(CallDispatcher):
             if overhead > 0:
                 yield self.env.timeout(overhead)
             process = self.guardian.spawn_handler(port, args, span=span)
-            self._emit_executing(receiver, seq, port_id, span, process)
+            tracer = self.env.tracer
+            if tracer is not None:
+                self._emit_executing(tracer, receiver, seq, port_id, span, process)
             self._running[process] = None
             self._hook_completion(process, receiver, seq, kind, port, span)
 
@@ -244,7 +250,9 @@ class GroupDispatcher(CallDispatcher):
                     return  # guardian crashed; no reply will be sent
                 else:
                     outcome = Outcome.failure("handler crashed: %r" % (exc,))
-            self._emit_completed(receiver, seq, span, outcome)
+            tracer = self.env.tracer
+            if tracer is not None:
+                self._emit_completed(tracer, receiver, seq, span, outcome)
             receiver.post_outcome(seq, outcome, kind, port.outcome_codec)
 
         if process.triggered:

@@ -159,16 +159,19 @@ class _ShardEngine:
                     continue
             if is_collector:
                 entry_key = ("graph.collect", self.graph_id, node.node_id)
-                entry = state.get(entry_key)
-                if entry is None:
-                    entry = state[entry_key] = {"inputs": {}, "fired": False}
-                entry["inputs"][slot] = values
-                if entry["fired"] or len(entry["inputs"]) < node.n_inputs:
+                inputs = state.get(entry_key)
+                if inputs is None:
+                    inputs = state[entry_key] = {}
+                inputs[slot] = values
+                if len(inputs) < node.n_inputs:
                     continue
-                # Mark fired *before* yielding into execution so a sibling
-                # delivery racing through this guardian cannot fire it twice.
-                entry["fired"] = True
-                values = [entry["inputs"][i] for i in range(node.n_inputs)]
+                # Every input is in: drop the entry *before* yielding into
+                # execution, so the join leaves no state behind.  It still
+                # fires once: a delivery racing through this guardian can
+                # only start a fresh entry, and a collector joins at least
+                # two inputs, so one stray input cannot fill it.
+                del state[entry_key]
+                values = [inputs[i] for i in range(node.n_inputs)]
             yield ctx.compute(spec.cost)
             tracer = env.tracer
             if tracer is not None:

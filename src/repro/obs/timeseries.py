@@ -63,31 +63,50 @@ class WindowedCollector:
         #: Windows evicted by the ``max_windows`` ring cap.
         self.dropped_windows = 0
         self._windows: Dict[int, WindowStats] = {}
+        #: The window written last, so that a write into it costs no call.
+        self._current: Optional[WindowStats] = None
+        self._current_index: Optional[int] = None
 
     # ------------------------------------------------------------------
     # Writing
     # ------------------------------------------------------------------
-    def _window_at(self, t: Optional[float]) -> WindowStats:
-        if t is None:
-            t = self.clock()
-        index = int(t // self.window)
-        stats = self._windows.get(index)
+    def _window(self, index: int) -> WindowStats:
+        """Window *index*, created (and the ring trimmed) if missing.
+
+        It becomes the current window unless the ring cap evicted it at
+        birth, so the current window is always a kept one: an eviction
+        that drops it also creates the window that replaces it.
+        """
+        windows = self._windows
+        stats = windows.get(index)
         if stats is None:
-            stats = self._windows[index] = WindowStats(index)
-            if self.max_windows is not None and len(self._windows) > self.max_windows:
-                oldest = min(self._windows)
-                del self._windows[oldest]
+            stats = windows[index] = WindowStats(index)
+            if self.max_windows is not None and len(windows) > self.max_windows:
+                oldest = min(windows)
+                del windows[oldest]
                 self.dropped_windows += 1
+                if oldest == index:
+                    return stats
+        self._current = stats
+        self._current_index = index
         return stats
 
     def inc(self, name: str, amount: float = 1, t: Optional[float] = None) -> None:
         """Add *amount* to counter *name* in the window covering *t* (or now)."""
-        counters = self._window_at(t).counters
+        index = int((self.clock() if t is None else t) // self.window)
+        if index == self._current_index:
+            counters = self._current.counters
+        else:
+            counters = self._window(index).counters
         counters[name] = counters.get(name, 0) + amount
 
     def observe(self, name: str, value: float, t: Optional[float] = None) -> None:
         """Record *value* into the windowed distribution *name*."""
-        histograms = self._window_at(t).histograms
+        index = int((self.clock() if t is None else t) // self.window)
+        if index == self._current_index:
+            histograms = self._current.histograms
+        else:
+            histograms = self._window(index).histograms
         histogram = histograms.get(name)
         if histogram is None:
             histogram = histograms[name] = StreamingHistogram(self.relative_error)
@@ -95,7 +114,8 @@ class WindowedCollector:
 
     def gauge(self, name: str, value: float, t: Optional[float] = None) -> None:
         """Record one sample of an instantaneous level (occupancy, queue)."""
-        gauges = self._window_at(t).gauges
+        index = int((self.clock() if t is None else t) // self.window)
+        gauges = self._window(index).gauges
         entry = gauges.get(name)
         if entry is None:
             gauges[name] = [1, value, value, value, value]

@@ -262,3 +262,9 @@ class _Interruption(Event):
                 pass
         process._target = None
         process._resume(self)
+
+
+# Let Environment.process build processes without an import per call.
+from repro.sim import kernel as _kernel  # noqa: E402
+
+_kernel._PROCESS_CLASS = Process

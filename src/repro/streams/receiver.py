@@ -17,6 +17,7 @@ guardian.  It provides the receiver half of the §2 guarantees:
 
 from __future__ import annotations
 
+from operator import attrgetter
 from typing import Dict, List, Optional, Tuple
 
 from repro.core.outcome import Outcome
@@ -45,6 +46,9 @@ __all__ = ["StreamReceiver", "CallDispatcher", "ReceiverStats"]
 
 # Codec used to encode failure outcomes for calls whose port is unknown.
 _EMPTY_HANDLER_TYPE = HandlerType()
+
+#: Sort key for a packet's entries, without a Python call per entry.
+_entry_seq = attrgetter("seq")
 
 
 class CallDispatcher:
@@ -182,7 +186,7 @@ class StreamReceiver:
         # the sender: an asynchronous break, as §2 specifies.
         resend_needed = False
         new_out_of_order = False
-        entries = sorted(packet.entries, key=lambda entry: entry.seq)
+        entries = sorted(packet.entries, key=_entry_seq)
         for entry in entries:
             if self.broken is not None:
                 break
@@ -200,7 +204,8 @@ class StreamReceiver:
                 continue
             if entry.seq == self.expected_seq:
                 self._deliver(entry)
-                self._drain_out_of_order()
+                if self._out_of_order:
+                    self._drain_out_of_order()
             elif entry.seq not in self._out_of_order:
                 self._out_of_order[entry.seq] = entry
                 new_out_of_order = True

@@ -450,7 +450,7 @@ class StreamSender:
     def _check_usable(self) -> None:
         # A wounded process (termination pending, delayed by a critical
         # section) "cannot make any remote calls at such a point" (§4.2).
-        if is_wounded(self.env.active_process):
+        if is_wounded(self.env._active_process):
             raise Unavailable("process is wounded; remote calls are refused")
         if self.broken:
             exc = self._break_exception or Unavailable("stream is broken")
@@ -514,7 +514,7 @@ class StreamSender:
             for entry in entries:
                 unacked[entry.seq] = entry
             if self.config.adaptive_rto:
-                now = self.env.now
+                now = self.env._now
                 send_times = self._send_times
                 for entry in entries:
                     send_times[entry.seq] = now
@@ -704,7 +704,7 @@ class StreamSender:
                     # this packet, the best proxy for the packet's RTT.
                     rtt_sent_at = sent_at
         if rtt_sent_at is not None:
-            self._rtt_sample(self.env.now - rtt_sent_at)
+            self._rtt_sample(self.env._now - rtt_sent_at)
         if packet.completed_seq > self._completed_seq:
             self._completed_seq = packet.completed_seq
             progressed = True

@@ -14,16 +14,13 @@ counts work, not time.
 """
 
 import bisect
-import os
 import random
-import sys
-from collections import Counter
 
 import pytest
 
-import repro
 from repro.graph import GraphBuilder
 
+from ..call_budget import count_repro_calls, heaviest
 from .helpers import build_graph_system
 
 pytestmark = pytest.mark.graph
@@ -37,8 +34,6 @@ GRAPHS = 4
 ROUTINES = CHAINS * 2 + CHAINS // FAN_IN
 #: Repro-owned Python calls allowed per routine, submission included.
 BUDGET = 58
-
-_REPRO_ROOT = os.path.dirname(repro.__file__) + os.sep
 
 
 def _zipf_keys(rng):
@@ -83,29 +78,16 @@ def test_graph_cascade_stays_within_call_budget():
 
         return main
 
-    counts = Counter()
-
-    def profile(frame, event, _arg):
-        if event == "call":
-            code = frame.f_code
-            if code.co_filename.startswith(_REPRO_ROOT):
-                counts[code.co_filename[len(_REPRO_ROOT):], code.co_name] += 1
-
-    sys.setprofile(profile)
-    try:
+    def run_lanes():
         for process in [client.spawn(lane(index)) for index in range(GRAPHS)]:
             system.run(until=process)
-    finally:
-        sys.setprofile(None)
+
+    counts = count_repro_calls(run_lanes)
     assert len(joins) == GRAPHS * CHAINS // FAN_IN
     assert runtime.pending_count() == 0
     routines = GRAPHS * ROUTINES
     per_routine = sum(counts.values()) / routines
-    heaviest = ", ".join(
-        "%s:%s %.2f" % (path, name, count / routines)
-        for (path, name), count in counts.most_common(8)
-    )
     assert per_routine <= BUDGET, "%.1f calls per routine; heaviest: %s" % (
         per_routine,
-        heaviest,
+        heaviest(counts, routines),
     )

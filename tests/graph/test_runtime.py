@@ -1,5 +1,7 @@
 """GraphRuntime end to end: placement, batching, migration, give-up."""
 
+import random
+
 import pytest
 
 import repro.graph.runtime as runtime_module
@@ -201,3 +203,56 @@ def test_reshipped_frames_match_a_fresh_encoding(monkeypatch):
     for graph_id, origin, epoch, flags, units, frame in frames:
         rebuilt = [(slot, fresh[node.node_id], values) for slot, node, values in units]
         assert frame == real(graph_id, origin, epoch, flags, rebuilt)
+
+
+def _kv_joins(graph_index, rng, chains=40, fan_in=4):
+    """A graph_kv-shaped graph: two-hop ``add`` -> ``scale`` chains joined
+    *fan_in*-wise by collectors, scheduling keys scattered over 64."""
+    g = GraphBuilder()
+    pending, expected = [], {}
+    for index in range(chains):
+        src = g.source(
+            "t.add",
+            captures=("g%d.c%d" % (graph_index, index), index + 1),
+            sched_key=rng.randrange(64),
+        )
+        pending.append(src.then("t.scale", captures=(3,), sched_key=rng.randrange(64)))
+        if len(pending) == fan_in:
+            tag = "join%d" % index
+            g.collect("t.sum", inputs=pending, sched_key=rng.randrange(64)).emit(tag)
+            expected[tag] = (3 * sum(range(index + 2 - fan_in, index + 2)),)
+            pending = []
+    return g, expected
+
+
+@pytest.mark.parametrize("mode", ["batched", "unbatched", "rpc"])
+def test_fired_collectors_leave_no_state_behind(mode):
+    system, runtime = build_graph_system(n_shards=4)
+    rng = random.Random(5)
+    graphs = [_kv_joins(index, rng) for index in range(4)]
+
+    def main(ctx):
+        results = []
+        if mode == "rpc":
+            for g, _expected in graphs:
+                results.append((yield from runtime.run_rpc(ctx, g)))
+            return results
+        submitted = [
+            runtime.submit(ctx, g, batching=mode == "batched") for g, _expected in graphs
+        ]
+        for promises in submitted:
+            joins = {}
+            for tag, promise in promises.items():
+                joins[tag] = ((yield promise.claim()),)
+            results.append(joins)
+        return results
+
+    assert run_client(system, main) == [expected for _g, expected in graphs]
+    assert runtime.pending_count() == 0
+    residue = [
+        (name, key)
+        for name in runtime.router.shard_names
+        for key in system.guardians[name].state
+        if isinstance(key, tuple) and key[:1] == ("graph.collect",)
+    ]
+    assert residue == []

@@ -4,7 +4,8 @@ import json
 
 import pytest
 
-from repro.obs import Histogram, Metrics
+from repro.obs import Histogram, Metrics, WindowedCollector
+from repro.obs.metrics import format_key
 
 
 def test_counters_with_labels_are_separate_series():
@@ -120,3 +121,59 @@ def test_attached_collector_sees_every_write():
     # Collector series are keyed by bare name: labels pool together.
     assert row["reqs"] == 2
     assert row["latency_count"] == 1
+
+
+
+def _reference_series(writes):
+    """What the registry must report for *writes*: one series per name and
+    label set, keyed with its labels sorted by name and ``str``-ed, as
+    ``{key: (counter total, writes)}``."""
+    series = {}
+    for name, amount, labels in writes:
+        key = format_key(name, tuple(sorted((k, str(v)) for k, v in labels.items())))
+        total, count = series.get(key, (0, 0))
+        series[key] = (total + amount, count + 1)
+    return series
+
+
+# Labelled and unlabelled writes, the same label set in both orders, and
+# values that compare equal but print differently (1, 1.0 and True; 0.0
+# and -0.0), print the same but compare unequal (1 and "1"; NaN), or do
+# not hash at all.
+MIXED_WRITES = [
+    ("reqs", 1, {}),
+    ("reqs", 2, {"node": 1}),
+    ("reqs", 1, {"node": "1"}),
+    ("reqs", 1, {"node": True}),
+    ("reqs", 1, {"node": 1.0}),
+    ("reqs", 1, {"node": 0.0}),
+    ("reqs", 1, {"node": -0.0}),
+    ("reqs", 1, {"node": float("nan")}),
+    ("reqs", 1, {"node": [1]}),
+    ("reqs", 1, {"a": "x", "b": 2}),
+    ("reqs", 1, {"b": 2, "a": "x"}),
+    ("reqs", 1, {"b": "2", "a": "x"}),
+    ("errs", 3, {}),
+    ("errs", 1, {"node": 1}),
+]
+
+
+@pytest.mark.parametrize("streaming", [False, True])
+def test_fast_write_paths_report_the_same_series(streaming):
+    metrics = Metrics(streaming=streaming, collector=WindowedCollector(window=1.0))
+    writes = MIXED_WRITES * 3
+    for name, amount, labels in writes:
+        metrics.inc(name, amount, **labels)
+        metrics.observe(name, amount, **labels)
+    expected = _reference_series(writes)
+    report = metrics.summary()
+    assert report["counters"] == {key: total for key, (total, _) in expected.items()}
+    assert {key: snap["count"] for key, snap in report["histograms"].items()} == {
+        key: count for key, (_, count) in expected.items()
+    }
+    assert len(expected) == 11
+    for name, _amount, labels in MIXED_WRITES:
+        key = format_key(name, tuple(sorted((k, str(v)) for k, v in labels.items())))
+        assert metrics.counter_value(name, **labels) == expected[key][0]
+        assert metrics.histogram(name, **labels).count == expected[key][1]
+    assert metrics.total("reqs") == sum(a for n, a, _ in writes if n == "reqs")

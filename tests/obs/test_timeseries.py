@@ -110,3 +110,63 @@ def test_round_trip_to_dict():
 def test_negative_window_rejected():
     with pytest.raises(ValueError):
         WindowedCollector(window=0.0)
+
+
+def _window_counts(collector, name):
+    return {
+        entry["index"]: entry["counters"][name]
+        for entry in collector.to_dict()["windows"]
+        if name in entry["counters"]
+    }
+
+
+def test_writes_land_in_the_window_floor_division_picks():
+    # 0.3 // 0.1 == 2.0, 0.7 // 0.1 == 6.0 and 1.0 // 0.1 == 9.0: float
+    # boundaries where a window's bounds (index * width) disagree with
+    # the index floor division gives.
+    now = [0.0]
+    collector = WindowedCollector(window=0.1, clock=lambda: now[0])
+    times = [0.2, 0.3, 0.30000000000000004, 0.29999999999999993, 0.6, 0.7,
+             0.7000000000000001, 0.9999999999999999, 1.0, 0.3, 0.2, 0.7]
+    expected = {}
+    for t in times:
+        now[0] = t
+        collector.inc("clocked")
+        collector.observe("lat", t)
+        collector.inc("explicit", t=t)
+        expected[int(t // 0.1)] = expected.get(int(t // 0.1), 0) + 1
+    assert _window_counts(collector, "clocked") == expected
+    assert _window_counts(collector, "explicit") == expected
+    assert {
+        entry["index"]: entry["histograms"]["lat"]["count"]
+        for entry in collector.to_dict()["windows"]
+    } == expected
+
+
+def test_explicit_earlier_time_does_not_capture_later_writes():
+    now = [2.25]
+    collector = WindowedCollector(window=0.5, clock=lambda: now[0])
+    collector.inc("reqs")
+    collector.inc("reqs", t=0.75)
+    collector.gauge("inflight", 3, t=0.75)
+    collector.inc("reqs")
+    now[0] = 2.5
+    collector.inc("reqs")
+    assert _window_counts(collector, "reqs") == {1: 1, 4: 2, 5: 1}
+    assert collector.rows()[0]["inflight_last"] == 3
+
+
+def test_writes_after_the_ring_evicts_the_current_window():
+    collector = WindowedCollector(window=1.0, max_windows=2)
+    collector.inc("reqs", t=0.5)
+    collector.inc("reqs", t=1.5)
+    collector.inc("reqs", t=0.5)  # window 0 is current again
+    collector.inc("reqs", t=2.5)  # evicts window 0
+    assert collector.dropped_windows == 1
+    # Window 0 is re-created and evicted at birth on every write, as it
+    # always was: each write counts one more dropped window.
+    collector.inc("reqs", t=0.5)
+    collector.inc("reqs", t=0.5)
+    collector.inc("reqs", t=1.5)
+    assert collector.dropped_windows == 3
+    assert _window_counts(collector, "reqs") == {1: 2, 2: 1}
